@@ -9,7 +9,6 @@ from .fitting import (
     usable_dynamic_range,
 )
 from .mismatch import MismatchSample, MismatchSampler, spread_report
-from .montecarlo import MonteCarloResult, run_monte_carlo
 from .noise import (
     NoiseBudget,
     flicker_noise_trace,
@@ -34,7 +33,6 @@ __all__ = [
     "LinearFit",
     "MismatchSample",
     "MismatchSampler",
-    "MonteCarloResult",
     "NEURO_PROCESS",
     "NoiseBudget",
     "ProcessSpec",
@@ -53,7 +51,6 @@ __all__ = [
     "proportionality_error",
     "render_kv",
     "render_table",
-    "run_monte_carlo",
     "run_sweep",
     "shot_noise_density",
     "shot_noise_trace",

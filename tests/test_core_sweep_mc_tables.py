@@ -1,9 +1,8 @@
-"""Sweeps, Monte-Carlo runner and table rendering."""
+"""Sweeps, seed helpers and table rendering."""
 
 import numpy as np
 import pytest
 
-from repro.core.montecarlo import run_monte_carlo
 from repro.core.rng import ensure_rng, spawn_child, spawn_children
 from repro.core.sweep import lin_space, log_space, run_sweep
 from repro.core.tables import format_cell, render_kv, render_table
@@ -83,36 +82,6 @@ class TestRunSweep:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             run_sweep("x", [], lambda x: {"y": x})
-
-
-class TestMonteCarlo:
-    def test_statistics(self):
-        result = run_monte_carlo(lambda g: {"v": g.normal(5.0, 1.0)}, trials=2000, rng=1)
-        assert result.mean("v") == pytest.approx(5.0, abs=0.1)
-        assert result.std("v") == pytest.approx(1.0, abs=0.1)
-
-    def test_percentile_and_worst(self):
-        result = run_monte_carlo(lambda g: {"v": g.uniform(-1, 1)}, trials=500, rng=2)
-        assert -1 <= result.percentile("v", 50) <= 1
-        assert result.worst("v") <= 1.0
-
-    def test_summary_keys(self):
-        result = run_monte_carlo(lambda g: {"a": 1.0, "b": 2.0}, trials=3, rng=3)
-        assert set(result.summary()) == {"a", "b"}
-
-    def test_reproducible(self):
-        r1 = run_monte_carlo(lambda g: {"v": g.normal()}, trials=10, rng=9)
-        r2 = run_monte_carlo(lambda g: {"v": g.normal()}, trials=10, rng=9)
-        assert np.array_equal(r1.samples["v"], r2.samples["v"])
-
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            run_monte_carlo(lambda g: {"v": 1.0}, trials=0)
-
-    def test_unknown_output_raises(self):
-        result = run_monte_carlo(lambda g: {"v": 1.0}, trials=2, rng=1)
-        with pytest.raises(KeyError):
-            result.mean("w")
 
 
 class TestTables:

@@ -228,7 +228,7 @@ class TestFaultCampaigns:
         assert len(serial_faulted) == CAMPAIGN.n_points == 64
 
     @pytest.mark.parametrize("executor,workers", [
-        ("thread", 3), ("process", 2), ("batched", None)
+        ("process", 2), ("batched", None)
     ])
     def test_executor_parity(self, serial_faulted, executor, workers):
         other = run_campaign(CAMPAIGN, seed=11, executor=executor, workers=workers)
