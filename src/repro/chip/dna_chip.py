@@ -21,12 +21,10 @@ import numpy as np
 
 from ..core.process import C5_PROCESS, ProcessSpec
 from ..core.rng import RngLike, ensure_rng, spawn_children
-from ..core.units import fF
 from ..devices.bandgap import BandgapReference
 from ..devices.current_mirror import ReferenceCurrentFanout
 from ..devices.dac import ResistorStringDac
 from ..dna.assay import AssayResult
-from ..electrochem.redox_cycling import RedoxCyclingSensor
 from ..pixel.pixel import DnaSensorPixel, PixelVariation
 from .registers import RegisterFile, dna_chip_registers
 from .sequencer import SiteSequence
@@ -221,10 +219,12 @@ class DnaMicroarrayChip:
             self.recorder.seq_state("measure", detail=f"assay frame {frame_s} s")
         generator = ensure_rng(rng)
         counts = np.zeros((self.specs.rows, self.specs.cols), dtype=int)
-        for site in assay.sites:
-            pixel = self.pixel_at(site.row, site.col)
-            counts[site.row, site.col] = pixel.measure_concentration(
-                site.surface_concentration, frame_s, rng=generator
+        # Row-major, one RNG draw sequence per pixel in turn.
+        concentrations = assay.surface_concentration.tolist()
+        for index, concentration in enumerate(concentrations):
+            row, col = divmod(index, self.specs.cols)
+            counts[row, col] = self.pixel_at(row, col).measure_concentration(
+                concentration, frame_s, rng=generator
             )
         self._last_counts = counts.reshape(-1).astype(np.int64)
         if self.recorder is not None:

@@ -10,8 +10,8 @@ time, resampling, RMS/peak metrics and single-pole filtering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 

@@ -9,7 +9,7 @@ instances rather than an abstract gain number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class CurrentMirror:
         """
         if i_in <= 0:
             raise ValueError("mirror input current must be positive")
-        v_gate = self.reference.vgs_for_current(i_in, vds=None)
         # Diode connection: vds = vgs on the reference side.
         v_gate = self._solve_diode(i_in)
         if v_out is None:
@@ -77,13 +76,26 @@ class CurrentMirror:
         return self.output.ids(v_gate, v_out)
 
     def _solve_diode(self, i_in: float) -> float:
-        """Gate voltage of the diode-connected reference carrying i_in."""
+        """Gate voltage of the diode-connected reference carrying i_in.
+
+        Rejects currents outside the reference's range at mid-rail drain
+        bias, with the message of :meth:`Mosfet.vgs_for_current`."""
         lo, hi = -1.0, self.reference.process.vdd + 2.0
+        vds = self.reference.process.vdd / 2.0
+        i_lo, i_hi = self.reference.ids(lo, vds), self.reference.ids(hi, vds)
+        if i_in < i_lo or i_in > i_hi:
+            raise ValueError(f"target {i_in} A out of range [{i_lo}, {i_hi}]")
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            # A step that leaves (lo, hi) unchanged is a fixed point: every
+            # later step repeats it, so stopping there is bit-identical.
             if self.reference.ids(mid, mid) < i_in:
+                if mid == lo:
+                    break
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         return 0.5 * (lo + hi)
 

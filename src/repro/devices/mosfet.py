@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
 
 from ..core.mismatch import MismatchSample
 from ..core.process import ProcessSpec, default_process

@@ -7,7 +7,7 @@ static error budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.process import ProcessSpec, default_process
 from .mosfet import Mosfet

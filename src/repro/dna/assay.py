@@ -12,11 +12,17 @@ Phases, exactly as the figure:
 
 Competition: when several sample targets can bind the same probe, the
 site's capture is shared proportionally to each target's k_on * c.
+
+The chemistry is columnar: one probe x target mismatch matrix per
+sample composition (memoized on the assay object), one occupancy solve
+per distinct probe, and NumPy columns over the sites for everything
+downstream of the per-spot probe density.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from ..electrochem.enzyme import LabelledSurface
 from ..electrochem.redox_cycling import RedoxCyclingSensor
 from .hybridization import DEFAULT_KINETICS, HybridizationKinetics
 from .sample import Sample
-from .sequences import Probe
+from .sequences import Probe, Target, mismatch_matrix
 from .spotting import ProbeLayout
 
 
@@ -78,25 +84,57 @@ class SiteResult:
         return self.best_match_mismatches == 0
 
 
-@dataclass
+@dataclass(eq=False)
 class AssayResult:
-    """All site results plus array-level summaries."""
+    """All site outcomes as row-major columns plus array-level summaries.
 
-    sites: list[SiteResult]
+    Element ``i`` of every column belongs to site ``divmod(i, cols)``;
+    the columns carry the :class:`SiteResult` field names.
+    """
+
     rows: int
     cols: int
+    probe_name: np.ndarray  # object array of str, "" for bare spots
+    best_match_mismatches: np.ndarray
+    occupancy_after_hybridization: np.ndarray
+    occupancy_after_wash: np.ndarray
+    bound_density: np.ndarray
+    surface_concentration: np.ndarray
+    sensor_current: np.ndarray
+
+    @cached_property
+    def sites(self) -> list[SiteResult]:
+        """The columns as one :class:`SiteResult` per site, row-major."""
+        columns = zip(
+            self.probe_name.tolist(),
+            self.best_match_mismatches.tolist(),
+            self.occupancy_after_hybridization.tolist(),
+            self.occupancy_after_wash.tolist(),
+            self.bound_density.tolist(),
+            self.surface_concentration.tolist(),
+            self.sensor_current.tolist(),
+        )
+        return [
+            SiteResult(*divmod(index, self.cols), *values)
+            for index, values in enumerate(columns)
+        ]
+
+    @property
+    def is_match(self) -> np.ndarray:
+        return self.best_match_mismatches == 0
+
+    @property
+    def is_mismatch(self) -> np.ndarray:
+        """Probe sites whose best binder is not a perfect match."""
+        return ~self.is_match & (self.probe_name != "")
 
     def current_map(self) -> np.ndarray:
-        image = np.zeros((self.rows, self.cols))
-        for site in self.sites:
-            image[site.row, site.col] = site.sensor_current
-        return image
+        return self.sensor_current.reshape(self.rows, self.cols).copy()
 
     def site_at(self, row: int, col: int) -> SiteResult:
-        for site in self.sites:
-            if site.row == row and site.col == col:
-                return site
-        raise KeyError(f"no site at ({row}, {col})")
+        if not (0 <= row < self.rows and 0 <= col < self.cols):
+            raise KeyError(f"no site at ({row}, {col})")
+        return self.sites[row * self.cols + col]
 
     def match_sites(self) -> list[SiteResult]:
         return [s for s in self.sites if s.is_match_site]
@@ -106,17 +144,17 @@ class AssayResult:
 
     def discrimination_ratio(self) -> float:
         """Median match current over median non-match current."""
-        matches = [s.sensor_current for s in self.match_sites()]
-        others = [s.sensor_current for s in self.mismatch_sites()]
-        if not matches or not others:
+        matches = self.sensor_current[self.is_match]
+        others = self.sensor_current[self.is_mismatch]
+        if not len(matches) or not len(others):
             raise ValueError("need both match and mismatch sites for a ratio")
         return float(np.median(matches) / np.median(others))
 
     def dynamic_range_decades(self) -> float:
-        currents = [s.sensor_current for s in self.sites if s.sensor_current > 0]
-        if not currents:
+        currents = self.sensor_current[self.sensor_current > 0]
+        if not len(currents):
             raise ValueError("no positive currents recorded")
-        return float(np.log10(max(currents) / min(currents)))
+        return float(np.log10(currents.max() / currents.min()))
 
 
 class MicroarrayAssay:
@@ -145,63 +183,81 @@ class MicroarrayAssay:
         self.kinetics = kinetics
         self.labelled_surface = labelled_surface or LabelledSurface()
         self.sensor = sensor or RedoxCyclingSensor()
+        # (probes, targets) -> mismatch matrix rows: every dose of one
+        # sample composition reuses the same matrix.
+        self._mismatches: dict[tuple[tuple[Probe, ...], tuple[Target, ...]], list] = {}
 
     # ------------------------------------------------------------------
     def run(self, sample: Sample, protocol: AssayProtocol | None = None) -> AssayResult:
         protocol = protocol or AssayProtocol()
-        sites = []
-        for row, col in self.layout.all_positions():
-            spot = self.layout.spot(row, col)
-            sites.append(self._run_site(spot, sample, protocol))
-        return AssayResult(sites=sites, rows=self.layout.rows, cols=self.layout.cols)
-
-    # ------------------------------------------------------------------
-    def _run_site(self, spot, sample: Sample, protocol: AssayProtocol) -> SiteResult:
-        if spot.probe is None or spot.probe_density <= 0:
-            # Bare control spot: background current only.
-            background = self.sensor.current(0.0)
-            return SiteResult(
-                row=spot.row, col=spot.col, probe_name="",
-                best_match_mismatches=99,
-                occupancy_after_hybridization=0.0,
-                occupancy_after_wash=0.0,
-                bound_density=0.0,
-                surface_concentration=0.0,
-                sensor_current=background,
-            )
-        probe = spot.probe
-        binders = self._binding_targets(probe, sample, protocol)
-        theta_hyb, theta_wash, best_mm = self._site_occupancy(probe, binders, protocol)
-        bound_density = theta_wash * spot.probe_density
+        layout = self.layout
+        n_sites = layout.rows * layout.cols
+        # Distinct probes in first-appearance order; bare spots (no probe
+        # or no density) index -1.
+        probe_index: dict[Probe, int] = {}
+        site_probe = []
+        density = np.zeros(n_sites)
+        for index, (row, col) in enumerate(layout.all_positions()):
+            spot = layout.spot(row, col)
+            if spot.probe is None or spot.probe_density <= 0:
+                site_probe.append(-1)
+                continue
+            site_probe.append(probe_index.setdefault(spot.probe, len(probe_index)))
+            density[index] = spot.probe_density
+        probes = tuple(probe_index)
+        # One solve per distinct probe; the bare-spot entry goes last.
+        per_probe = self._probe_occupancy(probes, sample, protocol) + [(0.0, 0.0, 99)]
+        theta_hyb, theta_wash, best_mm = zip(*per_probe)
+        names = [probe.name for probe in probes] + [""]
+        per_site = np.asarray(site_probe, dtype=np.intp)
+        occupancy_wash = np.array(theta_wash)[per_site]
+        bound_density = occupancy_wash * density
         flux = self.labelled_surface.product_flux(bound_density)
         concentration = surface_concentration_quasi_static(
             flux,
             protocol.boundary_layer_m,
             self.labelled_surface.label.product.diffusion_coefficient,
         )
-        current = self.sensor.current(concentration)
-        return SiteResult(
-            row=spot.row, col=spot.col, probe_name=probe.name,
-            best_match_mismatches=best_mm,
-            occupancy_after_hybridization=theta_hyb,
-            occupancy_after_wash=theta_wash,
+        return AssayResult(
+            rows=layout.rows,
+            cols=layout.cols,
+            probe_name=np.array(names, dtype=object)[per_site],
+            best_match_mismatches=np.array(best_mm, dtype=np.int64)[per_site],
+            occupancy_after_hybridization=np.array(theta_hyb)[per_site],
+            occupancy_after_wash=occupancy_wash,
             bound_density=bound_density,
             surface_concentration=concentration,
-            sensor_current=current,
+            sensor_current=np.zeros(n_sites) + self.sensor.current(concentration),
         )
 
-    def _binding_targets(self, probe: Probe, sample: Sample, protocol: AssayProtocol):
-        """(target, concentration, mismatches) triples that can bind."""
-        binders = []
-        for target, concentration in sample.contents.items():
-            if concentration <= 0:
-                continue
-            mismatches = target.mismatches_with(probe)
-            if mismatches <= protocol.max_cross_mismatches:
-                binders.append((target, concentration, mismatches))
-        return binders
+    # ------------------------------------------------------------------
+    def _probe_occupancy(
+        self, probes: tuple[Probe, ...], sample: Sample, protocol: AssayProtocol
+    ) -> list[tuple[float, float, int]]:
+        """(hybridized, washed, closest-binder mismatches) occupancy per
+        probe, over the targets within ``protocol.max_cross_mismatches``."""
+        targets = tuple(sample.contents)
+        key = (probes, targets)
+        if key not in self._mismatches:
+            self._mismatches[key] = mismatch_matrix(
+                [probe.sequence for probe in probes],
+                [target.recognition for target in targets],
+            ).tolist()
+        concentrations = list(sample.contents.values())
+        return [
+            self._occupancy(
+                probe,
+                [
+                    (target, concentration, mismatches)
+                    for target, concentration, mismatches in zip(targets, concentrations, row)
+                    if concentration > 0 and mismatches <= protocol.max_cross_mismatches
+                ],
+                protocol,
+            )
+            for probe, row in zip(probes, self._mismatches[key])
+        ]
 
-    def _site_occupancy(self, probe: Probe, binders, protocol: AssayProtocol):
+    def _occupancy(self, probe: Probe, binders, protocol: AssayProtocol):
         """Competitive Langmuir: share the site by k_on*c weight, each
         component relaxing with its own rate, then wash."""
         if not binders:

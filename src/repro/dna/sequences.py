@@ -8,8 +8,11 @@ a nominal total length.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.rng import RngLike, ensure_rng
 
@@ -139,6 +142,43 @@ class DnaSequence:
             alternatives = [b for b in _BASES if b != current]
             bases[pos] = alternatives[int(generator.integers(0, 3))]
         return DnaSequence("".join(bases))
+
+
+def _codes(sequence: DnaSequence) -> np.ndarray:
+    """The bases as uint8 ASCII codes."""
+    return np.frombuffer(str(sequence).encode("ascii"), dtype=np.uint8)
+
+
+def mismatch_matrix(
+    probes: Sequence[DnaSequence], regions: Sequence[DnaSequence]
+) -> np.ndarray:
+    """``matrix[i, j] == regions[j].mismatches_against(probes[i])`` for
+    every pair, as one int64 ``(len(probes), len(regions))`` array.
+
+    Probes of one length are stacked and compared against every sliding
+    window of a region in one NumPy pass; a probe longer than the region
+    keeps the scalar overhang rule (unmatched bases count as mismatches).
+    """
+    matrix = np.empty((len(probes), len(regions)), dtype=np.int64)
+    by_length: dict[int, list[int]] = {}
+    for index, probe in enumerate(probes):
+        by_length.setdefault(len(probe), []).append(index)
+    stacks = {
+        length: np.stack([_codes(probes[i].reverse_complement()) for i in indices])
+        for length, indices in by_length.items()
+    }
+    for column, region in enumerate(regions):
+        text = _codes(region)
+        for length, indices in by_length.items():
+            patterns = stacks[length]
+            if length > len(text):
+                overhang = length - len(text)
+                distance = (patterns[:, : len(text)] != text).sum(axis=1) + overhang
+            else:
+                windows = sliding_window_view(text, length)
+                distance = (patterns[:, None, :] != windows).sum(axis=2).min(axis=1)
+            matrix[indices, column] = distance
+    return matrix
 
 
 @dataclass(frozen=True)

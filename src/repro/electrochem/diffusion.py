@@ -110,16 +110,17 @@ class DiffusionDomain:
 
 
 def surface_concentration_quasi_static(
-    flux: float, boundary_layer: float, diffusion_coefficient: float
-) -> float:
+    flux, boundary_layer: float, diffusion_coefficient: float
+):
     """Steady-state surface concentration for constant injection flux.
 
     c_s = J * delta / D — the closed-form shortcut used by array-level
     assay simulations where running a PDE per site would be wasteful.
+    ``flux`` is a scalar or an array of per-site fluxes.
     """
     if boundary_layer <= 0 or diffusion_coefficient <= 0:
         raise ValueError("boundary layer and D must be positive")
-    if flux < 0:
+    if np.any(np.asarray(flux) < 0):
         raise ValueError("flux must be non-negative")
     return flux * boundary_layer / diffusion_coefficient
 

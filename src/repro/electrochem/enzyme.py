@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.units import AVOGADRO
 from .species import ALKALINE_PHOSPHATASE, EnzymeLabel
 
@@ -39,13 +41,13 @@ class LabelledSurface:
         if self.substrate_concentration < 0:
             raise ValueError("substrate concentration must be non-negative")
 
-    def product_flux(self, bound_target_density: float) -> float:
+    def product_flux(self, bound_target_density):
         """Surface product-generation flux, mol/(m^2 s).
 
         ``bound_target_density`` in molecules/m^2 (from the hybridization
-        model).
+        model); a scalar or an array of per-site densities.
         """
-        if bound_target_density < 0:
+        if np.any(np.asarray(bound_target_density) < 0):
             raise ValueError("bound target density must be non-negative")
         enzymes_per_area = bound_target_density * self.labels_per_target
         rate_per_enzyme = self.label.turnover_rate(self.substrate_concentration)

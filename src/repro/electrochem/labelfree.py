@@ -20,7 +20,6 @@ chain on equal footing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..core.units import AVOGADRO, nm

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import math
 
+import numpy as np
+
 from ..core.units import FARADAY
 from .electrode import InterdigitatedElectrode
 from .species import RedoxSpecies, P_AMINOPHENOL
@@ -62,10 +64,12 @@ class RedoxCyclingSensor:
         self.bias_ok = (v_generator >= e0 + margin_v) and (v_collector <= e0 - margin_v)
         return self.bias_ok
 
-    def current(self, surface_concentration: float) -> float:
+    def current(self, surface_concentration):
         """Cycling current (A) for a given product concentration at the
-        surface (mol/m^3)."""
-        if surface_concentration < 0:
+        surface (mol/m^3); a scalar or an array of per-site
+        concentrations (a mis-biased sensor returns the scalar
+        background either way)."""
+        if np.any(np.asarray(surface_concentration) < 0):
             raise ValueError("concentration must be non-negative")
         if not self.bias_ok:
             return self.background_current

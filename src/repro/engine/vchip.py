@@ -245,9 +245,7 @@ class VectorizedDnaChip:
                 f"assay grid {assay.rows}x{assay.cols} does not match the "
                 f"{self.specs.rows}x{self.specs.cols} chip"
             )
-        concentration = np.zeros((self.specs.rows, self.specs.cols))
-        for site in assay.sites:
-            concentration[site.row, site.col] = site.surface_concentration
+        concentration = assay.surface_concentration.reshape(self.specs.rows, self.specs.cols)
         return self.measure_concentrations(concentration, frame_s=frame_s, rng=rng)
 
     def measure_concentrations(

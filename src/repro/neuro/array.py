@@ -9,12 +9,11 @@ and the calibration Monte Carlo (Fig. 6 benchmark) tractable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.noise import kt_over_c_noise
-from ..core.process import ProcessSpec
 from ..core.rng import RngLike, ensure_rng
 from ..core.signals import Trace
 from ..devices.mosfet import Mosfet

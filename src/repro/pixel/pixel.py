@@ -9,11 +9,9 @@ instance; the chip-level auto-calibration measures and corrects it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
 
-from ..core.process import ProcessSpec, default_process
 from ..core.rng import RngLike, ensure_rng
 from ..core.units import fF, ns
 from ..devices.capacitor import Capacitor

@@ -8,9 +8,8 @@ attrition from ~10^5 compounds to ~1 drug candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
 
 from ..core.rng import RngLike, ensure_rng
 from .compounds import CompoundLibrary

@@ -5,7 +5,6 @@ The acceptance bar for the campaign subsystem: a ≥64-point campaign
 every executor, at any worker count, on both compute backends.
 """
 
-import numpy as np
 import pytest
 
 from repro.campaigns import (

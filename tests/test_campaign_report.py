@@ -82,7 +82,7 @@ class TestEdgeCases:
         assert "discrimination_ratio" in headers
 
     def test_rows_sorted_even_from_completion_order(self, tmp_path):
-        process = run_campaign(
+        run_campaign(
             CAMPAIGN, seed=5, executor="process", workers=2, store="jsonl",
             out=tmp_path / "p",
         )

@@ -1,6 +1,5 @@
 """The integrated 128x128 neural-recording chip."""
 
-import numpy as np
 import pytest
 
 from repro.chip.neuro_chip import NeuralRecordingChip

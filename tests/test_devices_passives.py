@@ -7,6 +7,7 @@ from repro.devices.bandgap import BandgapReference
 from repro.devices.capacitor import Capacitor
 from repro.devices.current_mirror import CurrentMirror, ReferenceCurrentFanout
 from repro.devices.dac import ResistorStringDac
+from repro.devices.mosfet import Mosfet
 from repro.devices.source_follower import default_follower
 from repro.devices.switches import MosSwitch
 
@@ -107,6 +108,27 @@ class TestCurrentMirror:
         mirror = CurrentMirror.matched_pair(4e-6, 2e-6, rng=3)
         with pytest.raises(ValueError):
             mirror.transfer(0.0)
+
+    def test_transfer_solves_the_diode_once(self, monkeypatch):
+        mirror = CurrentMirror.matched_pair(4e-6, 2e-6, gain=4.0, rng=2)
+        calls = []
+        ids = Mosfet.ids
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return ids(self, *args, **kwargs)
+
+        monkeypatch.setattr(Mosfet, "ids", counted)
+        # Values pinned from the former two-solve transfer (182 reference
+        # ids calls); its first solve never reached the result.
+        assert mirror.transfer(1e-6) == 4.156259564395058e-06
+        assert len(calls) <= 84
+        assert mirror.transfer(2e-5, v_out=1.0) == 7.973414550346182e-05
+
+    def test_out_of_range_input_still_raises(self):
+        mirror = CurrentMirror.matched_pair(4e-6, 2e-6, gain=4.0, rng=2)
+        with pytest.raises(ValueError, match=r"target 1\.0 A out of range \[.*, .*\]"):
+            mirror.transfer(1.0)
 
     def test_fanout_spread(self):
         fanout = ReferenceCurrentFanout.build(1e-6, count=16, rng=4)

@@ -1,6 +1,5 @@
 """Electrochemical substrate: species, electrodes, redox cycling, loop."""
 
-import numpy as np
 import pytest
 
 from repro.electrochem import (

@@ -32,7 +32,7 @@ from repro.faults import (
     fault_kinds,
     normalize_faults,
 )
-from repro.inference import FaultToleranceAnalysis, default_analysis_for
+from repro.inference import FaultToleranceAnalysis
 from repro.service import JobManager
 from repro.trace import TraceRecorder, replay_readout
 

@@ -24,7 +24,6 @@ from repro.neuro import (
     ArrayGeometry,
     CellChipJunction,
     Culture,
-    HodgkinHuxleyNeuron,
 )
 from repro.neuro.array import NeuralArrayModel
 

@@ -9,7 +9,6 @@ from repro.neuro.readout_chain import (
     ChannelFrontEnd,
     ReadoutChannel,
     TOTAL_GAIN,
-    build_readout_chain,
 )
 from repro.neuro.spike_detection import (
     detect_spikes,
