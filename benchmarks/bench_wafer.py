@@ -5,7 +5,7 @@ wafer) through the tiled evaluator, white-only and with the
 correlated field on, and records the process peak RSS.  The point of
 the tiled path is that a million-pixel wafer runs in bounded memory —
 resident planes are capped by ``WAFER_TILE_SITES``, not the wafer size
-— so CI's wafer-smoke job runs ``--quick`` with ``--assert-max-rss-mb``
+— so CI's perf-smoke job runs ``--quick`` with ``--assert-max-rss-mb``
 and ``--assert-min-sites 1000000`` and fails if either the memory bound
 or the scale claim regresses.
 

@@ -45,7 +45,8 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping, Optional, Union
 
-from .batched import BatchedExecutor, batchable_kinds, register_batch_compiler
+from ..inference.tabulate import report_rows
+from .batched import BatchedExecutor
 from .executors import (
     EXECUTORS,
     Executor,
@@ -55,7 +56,7 @@ from .executors import (
     make_executor,
 )
 from .plan import Plan, PlanPoint
-from .report import manifest_summary, metrics_table, report_rows
+from .report import manifest_summary, metrics_table
 from .spec import CampaignSpec, campaign_from_dict, replicate_seed
 from .store import (
     MANIFEST_SCHEMA,
@@ -79,8 +80,6 @@ __all__ = [
     "CampaignResult",
     "CampaignSpec",
     "Executor",
-    "batchable_kinds",
-    "register_batch_compiler",
     "JsonlResultStore",
     "MemoryResultStore",
     "Plan",

@@ -64,25 +64,11 @@ from .plan import Plan, PlanPoint
 #: profile survives million-point campaigns.
 BatchCompiler = Callable[[list, str], Iterator[list]]
 
-BATCH_COMPILERS: dict[str, BatchCompiler] = {}
-
 #: Memory bounds: one batched array-scale call holds ~10 full-precision
 #: planes per site, one neural batch holds every neuron's HH state
 #: history.  Groups larger than these are processed in chunks.
 ARRAY_SCALE_CHUNK_SITES = 1 << 22
 NEURAL_CHUNK_NEURONS = 1024
-
-
-def register_batch_compiler(kind: str, compiler: BatchCompiler) -> None:
-    """Plug a batched execution path in for an experiment kind."""
-    if kind in BATCH_COMPILERS:
-        raise ValueError(f"batch compiler for kind {kind!r} already registered")
-    BATCH_COMPILERS[kind] = compiler
-
-
-def batchable_kinds() -> list[str]:
-    """Experiment kinds the batched executor can compile, sorted."""
-    return sorted(BATCH_COMPILERS)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +315,12 @@ def _compile_neural(points: list, backend: str) -> list:
         yield compiled
 
 
-register_batch_compiler("array_scale", _compile_array_scale)
-register_batch_compiler("neural_recording", _compile_neural)
+#: The kinds the batched executor compiles; every other kind falls back
+#: to serial per-point dispatch.
+BATCH_COMPILERS: dict[str, BatchCompiler] = {
+    "array_scale": _compile_array_scale,
+    "neural_recording": _compile_neural,
+}
 
 
 # ---------------------------------------------------------------------------

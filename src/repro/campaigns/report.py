@@ -16,25 +16,8 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Union
 
 from ..core.tables import render_kv, render_table
-from ..inference.tabulate import report_rows as _frame_report_rows
+from ..inference.tabulate import report_rows
 from .store import CampaignResult, ResultStore
-
-
-def report_rows(
-    source: Union[CampaignResult, ResultStore],
-    metrics: Optional[Sequence[str]] = None,
-) -> tuple[list[str], list[list[Any]]]:
-    """``(headers, rows)`` for the per-point table, ordered by point.
-
-    Columns: point, replicate, every axis field that appears in any
-    point's assignment, wall time, then the requested metrics
-    (defaulting to the scalar metrics shared by every point, sorted).
-    Delegates to :func:`repro.inference.tabulate.report_rows`, which is
-    built entirely from :meth:`ResultStore.point_metas` — per-point
-    metadata carries the scalar metrics, so no record payload is ever
-    deserialized for a report.
-    """
-    return _frame_report_rows(source, metrics=metrics)
 
 
 def metrics_table(

@@ -33,7 +33,7 @@ from ..dna.spotting import ProbeLayout
 from ..core.signals import Trace
 from ..engine import VectorizedDnaChip, VectorizedNeuroChip, kernels, neuro_kernels
 from ..neuro.culture import ArrayGeometry, Culture
-from ..neuro.spike_detection import detect_spikes, score_detection, spike_snr
+from ..neuro.spike_detection import score_detection, spike_snr
 from ..pixel.sawtooth_adc import SawtoothAdc
 from ..screening.compounds import CompoundLibrary
 from ..screening.stages import default_funnel_stages
@@ -140,8 +140,12 @@ def _dna_streams(spec: DnaAssaySpec) -> dict[str, tuple]:
     return streams
 
 
-def _build_dna_chip(spec: DnaAssaySpec, chip_rng, calibration_rng) -> DnaMicroarrayChip:
-    chip = DnaMicroarrayChip(ChipSpecs(rows=spec.rows, cols=spec.cols), rng=chip_rng)
+def _build_dna_chip(chip_class, spec: DnaAssaySpec, chip_rng, calibration_rng):
+    """Build, bias and calibrate a :class:`DnaMicroarrayChip` or its
+    engine twin :class:`VectorizedDnaChip`, whose default ``"paired"``
+    mismatch draws make its pixel parameters bit-identical to the
+    object chip's."""
+    chip = chip_class(ChipSpecs(rows=spec.rows, cols=spec.cols), rng=chip_rng)
     bias_ok = chip.configure_bias(spec.v_generator, spec.v_collector)
     if spec.calibrate:
         chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=calibration_rng)
@@ -191,22 +195,6 @@ def _build_dna_sample(spec: DnaAssaySpec, layout: ProbeLayout, region: DnaSequen
     return Sample.for_probes(
         probes, spec.concentration, target_length=spec.target_length, subset=subset
     )
-
-
-def _build_dna_chip_vectorized(
-    spec: DnaAssaySpec, chip_rng, calibration_rng
-) -> VectorizedDnaChip:
-    """The engine-backed twin of :func:`_build_dna_chip`: same chip and
-    calibration streams, ``"paired"`` mismatch draws so the pixel
-    parameters are bit-identical to the object chip's."""
-    chip = VectorizedDnaChip(
-        ChipSpecs(rows=spec.rows, cols=spec.cols), rng=chip_rng, mismatch="paired"
-    )
-    bias_ok = chip.configure_bias(spec.v_generator, spec.v_collector)
-    if spec.calibrate:
-        chip.auto_calibrate(frame_s=spec.calibration_frame_s, rng=calibration_rng)
-    chip.bias_ok = bias_ok
-    return chip
 
 
 def _faulted_readout(
@@ -288,12 +276,11 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict, inputs: dict)
     vectorized = runner.backend == "vectorized"
     chip = inputs.get("chip")
     if chip is None:
-        build = _build_dna_chip_vectorized if vectorized else _build_dna_chip
+        chip_class = VectorizedDnaChip if vectorized else DnaMicroarrayChip
         chip = runner._provision(
             "dna_chip_vectorized" if vectorized else "dna_chip",
             spec.chip_key(),
-            lambda: build(spec, rngs["chip"], rngs["calibration"]),
-            cacheable="chip" not in runner._overridden and "calibration" not in runner._overridden,
+            lambda: _build_dna_chip(chip_class, spec, rngs["chip"], rngs["calibration"]),
         )
     # The layout's assay object rides along in the cache entry, so every
     # dose of one layout reuses its probe x target mismatch matrix.
@@ -301,7 +288,6 @@ def _execute_dna(runner: "Runner", spec: DnaAssaySpec, rngs: dict, inputs: dict)
         "dna_layout",
         spec.layout_key(),
         lambda: _build_dna_layout(spec, rngs["layout"]),
-        cacheable="layout" not in runner._overridden,
         counter="layouts",
     )
     sample = _build_dna_sample(spec, layout, region)
@@ -412,128 +398,62 @@ def _neural_streams(spec: NeuralRecordingSpec) -> dict[str, tuple]:
     }
 
 
-def _build_neuro_chip(spec: NeuralRecordingSpec, chip_rng) -> NeuralRecordingChip:
-    chip = NeuralRecordingChip(
-        geometry=ArrayGeometry(spec.rows, spec.cols, spec.pitch_m), rng=chip_rng
-    )
+def _build_neuro_chip(chip_class, spec: NeuralRecordingSpec, chip_rng):
+    """Build and calibrate a :class:`NeuralRecordingChip` or its engine
+    twin :class:`VectorizedNeuroChip`, which consumes the chip stream
+    identically (bit-identical pixel planes and channel draws)."""
+    chip = chip_class(geometry=ArrayGeometry(spec.rows, spec.cols, spec.pitch_m), rng=chip_rng)
     chip.calibrate()
     return chip
 
 
-def _build_neuro_chip_vectorized(spec: NeuralRecordingSpec, chip_rng) -> VectorizedNeuroChip:
-    """The engine-backed twin of :func:`_build_neuro_chip`: consumes the
-    chip stream identically, so pixel planes and channel draws are
-    bit-identical to the object chip's."""
-    chip = VectorizedNeuroChip(
-        geometry=ArrayGeometry(spec.rows, spec.cols, spec.pitch_m), rng=chip_rng
-    )
-    chip.calibrate()
-    return chip
-
-
-_NEURAL_COLUMN_NAMES = (
-    "neuron",
-    "diameter_m",
-    "best_row",
-    "best_col",
-    "peak_v",
-    "true_spikes",
-    "detected_spikes",
-    "precision",
-    "recall",
-    "snr",
-)
-
-
-def _neural_offgrid_row(columns: dict, neuron, truth) -> None:
-    # Off-grid soma (possible at array edges): no trace to score.
-    columns["best_row"].append(-1)
-    columns["best_col"].append(-1)
-    columns["peak_v"].append(0.0)
-    columns["true_spikes"].append(len(truth))
-    columns["detected_spikes"].append(0)
-    columns["precision"].append(0.0)
-    columns["recall"].append(0.0)
-    columns["snr"].append(float("nan"))
-
-
-def _score_neurons_object(spec: NeuralRecordingSpec, recording, culture) -> dict:
-    """Per-neuron spike scoring on the object path: one trace, one
-    detector call per neuron."""
-    columns: dict[str, list] = {name: [] for name in _NEURAL_COLUMN_NAMES}
-    for neuron in culture.neurons:
-        truth = recording.ground_truth[neuron.index]
-        columns["neuron"].append(neuron.index)
-        columns["diameter_m"].append(neuron.diameter)
-        if not culture.pixels_for_neuron(neuron):
-            _neural_offgrid_row(columns, neuron, truth)
-            continue
-        row, col = recording.best_pixel_for(neuron.index)
-        trace = recording.electrode_movie.pixel_trace(row, col)
-        detected = detect_spikes(trace, threshold_sigma=spec.threshold_sigma)
-        score = score_detection(detected, truth, tolerance_s=spec.tolerance_s)
-        columns["best_row"].append(row)
-        columns["best_col"].append(col)
-        columns["peak_v"].append(trace.peak_abs())
-        columns["true_spikes"].append(len(truth))
-        columns["detected_spikes"].append(len(detected))
-        columns["precision"].append(score.precision)
-        columns["recall"].append(score.recall)
-        columns["snr"].append(spike_snr(trace, truth) if len(truth) else float("nan"))
-    return columns
-
-
-def _score_neurons_vectorized(spec: NeuralRecordingSpec, recording, culture) -> dict:
-    """Array-wide scoring: best pixels from one peak plane, every
-    best-pixel trace detected in one matrix pass
-    (:func:`repro.engine.neuro_kernels.detect_spikes_matrix`)."""
-    columns: dict[str, list] = {name: [] for name in _NEURAL_COLUMN_NAMES}
-    frames = recording.electrode_movie.frames
-    peak_plane = np.max(np.abs(frames), axis=0) if culture.neurons else None
-    active: list[tuple[int, int, int]] = []  # (neuron position, row, col)
-    for position, neuron in enumerate(culture.neurons):
-        truth = recording.ground_truth[neuron.index]
-        columns["neuron"].append(neuron.index)
-        columns["diameter_m"].append(neuron.diameter)
+def _score_neurons(spec: NeuralRecordingSpec, recording, culture) -> dict[str, np.ndarray]:
+    """Per-neuron records, the same for both backends: best pixels from
+    one peak plane, every best-pixel trace detected in one matrix pass
+    (:func:`repro.engine.neuro_kernels.detect_spikes_matrix`).
+    Bit-identical to per-neuron ``best_pixel_for`` / ``detect_spikes``."""
+    movie = recording.electrode_movie
+    neurons = culture.neurons
+    n = len(neurons)
+    truths = [recording.ground_truth[neuron.index] for neuron in neurons]
+    # Off-grid somata (possible at array edges) have no trace to score
+    # and keep these blanks.
+    records = {
+        "neuron": np.asarray([neuron.index for neuron in neurons], dtype=int),
+        "diameter_m": np.asarray([neuron.diameter for neuron in neurons], dtype=float),
+        "best_row": np.full(n, -1, dtype=int),
+        "best_col": np.full(n, -1, dtype=int),
+        "peak_v": np.zeros(n),
+        "true_spikes": np.asarray([len(truth) for truth in truths], dtype=int),
+        "detected_spikes": np.zeros(n, dtype=int),
+        "precision": np.zeros(n),
+        "recall": np.zeros(n),
+        "snr": np.full(n, np.nan),
+    }
+    peak_plane = np.max(np.abs(movie.frames), axis=0) if neurons else None
+    for position, neuron in enumerate(neurons):
         covered = culture.pixels_for_neuron(neuron)
-        if not covered:
-            _neural_offgrid_row(columns, neuron, truth)
-            continue
-        peaks = np.asarray([peak_plane[r, c] for r, c in covered])
-        row, col = covered[int(np.argmax(peaks))]
-        active.append((position, row, col))
-        columns["best_row"].append(row)
-        columns["best_col"].append(col)
-        columns["true_spikes"].append(len(truth))
-        # peak_v / detection filled from the matrix pass below.
-        columns["peak_v"].append(None)
-        columns["detected_spikes"].append(None)
-        columns["precision"].append(None)
-        columns["recall"].append(None)
-        columns["snr"].append(None)
-    if active:
-        dt = 1.0 / recording.electrode_movie.frame_rate_hz
-        traces = frames[:, [r for _, r, _ in active], [c for _, _, c in active]].T
+        if covered:
+            peaks = np.asarray([peak_plane[r, c] for r, c in covered])
+            row, col = covered[int(np.argmax(peaks))]
+            records["best_row"][position], records["best_col"][position] = row, col
+    active = np.flatnonzero(records["best_row"] >= 0)
+    if active.size:
+        dt = 1.0 / movie.frame_rate_hz
+        traces = movie.frames[:, records["best_row"][active], records["best_col"][active]].T
         detected_all = neuro_kernels.detect_spikes_matrix(
             traces, dt, threshold_sigma=spec.threshold_sigma
         )
-        peak_values = np.max(np.abs(traces), axis=1)
-        # Columns hold one entry per neuron in position order, so each
-        # active neuron's placeholder sits at its culture position.
-        for (position, _, _), trace_row, detected, peak in zip(
-            active, traces, detected_all, peak_values
-        ):
-            neuron = culture.neurons[position]
-            truth = recording.ground_truth[neuron.index]
+        records["peak_v"][active] = np.max(np.abs(traces), axis=1)
+        for position, trace, detected in zip(active, traces, detected_all):
+            truth = truths[position]
             score = score_detection(detected, truth, tolerance_s=spec.tolerance_s)
-            columns["peak_v"][position] = float(peak)
-            columns["detected_spikes"][position] = len(detected)
-            columns["precision"][position] = score.precision
-            columns["recall"][position] = score.recall
-            columns["snr"][position] = (
-                spike_snr(Trace(trace_row, dt), truth) if len(truth) else float("nan")
-            )
-    return columns
+            records["detected_spikes"][position] = len(detected)
+            records["precision"][position] = score.precision
+            records["recall"][position] = score.recall
+            if len(truth):
+                records["snr"][position] = spike_snr(Trace(trace, dt), truth)
+    return records
 
 
 def neural_records_and_metrics(
@@ -541,22 +461,7 @@ def neural_records_and_metrics(
 ) -> tuple[dict, dict]:
     """Fold a recording into the workload's records/metrics — shared by
     the Runner path and the batched campaign fast path."""
-    if backend == "vectorized":
-        columns = _score_neurons_vectorized(spec, recording, culture)
-    else:
-        columns = _score_neurons_object(spec, recording, culture)
-    records = {
-        "neuron": np.asarray(columns["neuron"], dtype=int),
-        "diameter_m": np.asarray(columns["diameter_m"], dtype=float),
-        "best_row": np.asarray(columns["best_row"], dtype=int),
-        "best_col": np.asarray(columns["best_col"], dtype=int),
-        "peak_v": np.asarray(columns["peak_v"], dtype=float),
-        "true_spikes": np.asarray(columns["true_spikes"], dtype=int),
-        "detected_spikes": np.asarray(columns["detected_spikes"], dtype=int),
-        "precision": np.asarray(columns["precision"], dtype=float),
-        "recall": np.asarray(columns["recall"], dtype=float),
-        "snr": np.asarray(columns["snr"], dtype=float),
-    }
+    records = _score_neurons(spec, recording, culture)
     # Precision is defined over neurons that detected something,
     # recall over neurons that actually fired — matching the per-neuron
     # DetectionScore denominators.
@@ -587,12 +492,11 @@ def _execute_neural(
     vectorized = backend == "vectorized"
     chip = inputs.get("chip")
     if chip is None:
-        build = _build_neuro_chip_vectorized if vectorized else _build_neuro_chip
+        chip_class = VectorizedNeuroChip if vectorized else NeuralRecordingChip
         chip = runner._provision(
             "neuro_chip_vectorized" if vectorized else "neuro_chip",
             spec.chip_key(),
-            lambda: build(spec, rngs["chip"]),
-            cacheable="chip" not in runner._overridden,
+            lambda: _build_neuro_chip(chip_class, spec, rngs["chip"]),
         )
     culture = inputs.get("culture")
     if culture is None:
@@ -645,7 +549,6 @@ def _execute_screening(
             lambda: CompoundLibrary.generate(
                 size=spec.library_size, viable_rate=spec.viable_rate, rng=rngs["library"]
             ),
-            cacheable="library" not in runner._overridden,
             counter="libraries",
         )
     funnel = ScreeningFunnel(default_funnel_stages(cmos=spec.cmos))
@@ -820,7 +723,6 @@ def _execute_array_scale(
             f"array_scale_chip_{backend}",
             spec.chip_key(),
             lambda: _build_array_scale_chips(spec, backend, rngs["chip"], rngs["calibration"]),
-            cacheable="chip" not in runner._overridden and "calibration" not in runner._overridden,
         )
     currents = spec.site_currents()
     if backend == "vectorized":

@@ -14,10 +14,10 @@ from repro.campaigns import (
     BatchedExecutor,
     CampaignSpec,
     JsonlResultStore,
-    batchable_kinds,
     make_executor,
     run_campaign,
 )
+from repro.campaigns.batched import BATCH_COMPILERS
 from repro.campaigns.plan import Plan
 from repro.experiments import (
     ArrayScaleSpec,
@@ -166,7 +166,7 @@ class TestExecutorMechanics:
     def test_registered_in_executor_registry(self):
         assert "batched" in EXECUTORS
         assert isinstance(make_executor("batched"), BatchedExecutor)
-        assert batchable_kinds() == ["array_scale", "neural_recording"]
+        assert sorted(BATCH_COMPILERS) == ["array_scale", "neural_recording"]
 
     def test_single_worker_only(self):
         assert make_executor("batched", workers=1).workers == 1

@@ -1,4 +1,4 @@
-"""campaigns/report.py: tables, delegation to inference, edge cases."""
+"""campaigns/report.py: tables, the inference re-export, edge cases."""
 
 import pytest
 
@@ -48,10 +48,10 @@ class TestReportRows:
         assert all(row[-1] == "" for row in rows)
 
     def test_delegates_to_inference(self, result):
-        """The campaign facade and the inference implementation must be
-        the same function — tables can never drift from the frames the
+        """The campaign export and the inference implementation are the
+        same function — tables can never drift from the frames the
         analyses read."""
-        assert report_rows(result) == frame_report_rows(result)
+        assert report_rows is frame_report_rows
 
     def test_live_and_reloaded_tables_identical(self, tmp_path):
         stored = run_campaign(CAMPAIGN, seed=5, store="jsonl", out=tmp_path / "c")

@@ -49,7 +49,7 @@ def test_runner_result_matches_direct_evaluation():
 
 
 def test_committed_wafer_example_spec_is_loadable():
-    # The CI wafer-smoke assets must stay valid.
+    # The wafer example and CI assets must stay valid.
     import json
 
     path = Path(__file__).resolve().parent.parent / "examples" / "specs" / "wafer_small.json"
